@@ -1,0 +1,11 @@
+#!/usr/bin/env bash
+# Build the benchmark from source, then run one workload:
+#
+#   bash perfbench/run.sh --workload NAME --seed N --seconds S --trace 0|1
+#
+# Run from the root of a checkout.  Build output goes to stderr, so
+# the last line of stdout is the result object.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+dune build --root . ./perfbench/main.exe 1>&2
+exec ./_build/default/perfbench/main.exe "$@"
