@@ -644,8 +644,31 @@ let bench_pipeline () =
 let counter_value (snap : Metrics.snapshot) name =
   match List.assoc_opt name snap.counters with Some v -> v | None -> 0
 
+(* Total abstract work from the exact per-site event counts, summed in
+   floats: an int sum wraps at large extents (and [Ir.Shape.total_work]
+   saturates), either of which would skew the efficiency. *)
+let curve_work prog env =
+  List.fold_left
+    (fun acc ph ->
+      Option.bind acc (fun w ->
+          match Ir.Shape.of_phase prog env ph with
+          | Some t ->
+              Some
+                (List.fold_left
+                   (fun w (s : Ir.Shape.site) ->
+                     w
+                     +. float_of_int s.work
+                        *. float_of_int (Ir.Shape.occurrences t s)
+                        *. List.fold_left
+                             (fun a (c, _) -> a *. float_of_int c)
+                             1.0 s.seq)
+                   w t.sites)
+          | None | (exception _) -> None))
+    (Some 0.0) prog.Ir.Types.phases
+
 let bench_curve () =
   sep "Efficiency-vs-H curve, closed-form accounting (BENCH_pipeline.json)";
+  let out_of_range = ref [] in
   let hs = [ 4; 16; 64; 256; 1024 ] in
   let size_exps = [ 10; 20; 30 ] in
   let saved_mode = !Symbolic.Lattice.mode in
@@ -674,23 +697,24 @@ let bench_curve () =
               let delta name =
                 counter_value after name - counter_value before name
               in
-              let work =
-                List.fold_left
-                  (fun acc ph ->
-                    Option.bind acc (fun w ->
-                        match Ir.Shape.of_phase e.program env ph with
-                        | Some s -> Some (w + Ir.Shape.total_work s)
-                        | None | (exception _) -> None))
-                  (Some 0) e.program.Ir.Types.phases
-              in
-              let eff =
-                Option.map
-                  (fun w ->
-                    let ideal = float_of_int w /. float_of_int h in
-                    ideal /. (ideal +. t.solution.objective))
-                  work
-              in
               let degraded = Core.Pipeline.degraded t in
+              let eff =
+                (* a degraded point's plan is the BLOCK fallback, whose
+                   objective 0 says nothing about its overhead *)
+                if degraded then None
+                else
+                  Option.map
+                    (fun w ->
+                      let ideal = w /. float_of_int h in
+                      ideal /. (ideal +. t.solution.objective))
+                    (curve_work e.program env)
+              in
+              (match eff with
+              | Some x when not (x >= 0.0 && x <= 1.0) ->
+                  out_of_range :=
+                    Printf.sprintf "%s 2^%d H=%d: %g" e.name se h x
+                    :: !out_of_range
+              | _ -> ());
               Printf.printf "%-10s %6s %6d %10.2f %12.1f %7s %9b\n%!" e.name
                 (Printf.sprintf "2^%d" se) h (1000. *. wall)
                 t.solution.objective
@@ -725,7 +749,13 @@ let bench_curve () =
   close_out oc;
   Printf.printf "appended to BENCH_pipeline.json (%d curve points)\n"
     (List.length Codes.Registry.names
-    * List.length hs * List.length size_exps)
+    * List.length hs * List.length size_exps);
+  if !out_of_range <> [] then begin
+    List.iter
+      (Printf.eprintf "bench_curve: efficiency outside [0, 1]: %s\n")
+      (List.rev !out_of_range);
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Deep fuzz pipelines: the 50-100-phase programs the fuzzer's deep

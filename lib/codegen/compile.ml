@@ -3,12 +3,11 @@ open Ilp
 
 exception Unsupported of string
 
-(* Compiled subscript / bound shapes, exposed for tests: the affine
-   fast path covers everything the descriptors model exactly; bounds
-   or subscripts outside it (2^L factors with a loop-variable
-   exponent, opaque divisions) fall back to interpreting the
-   hash-consed expression against the slot file. *)
-type shape = Const of int | Affine of int * (int * int) list | Opaque
+(* Subscript / bound shapes of the shared lowering, exposed for tests. *)
+type shape = Ir.Lower.shape =
+  | Const of int
+  | Affine of int * (int * int) list
+  | Opaque
 
 type handlers = {
   read : par:int option -> array:string -> addr:int -> float;
@@ -28,96 +27,38 @@ type t = {
 
 let proc_of_iteration ~chunk ~h i = i / max 1 chunk mod h
 
-(* Compile one expression to a closure over the loop-variable slot
-   file.  Program parameters are substituted out of the term first, so
-   the residual mentions loop variables only; the affine decomposition
-   then peels one [linear_in] per scope variable.  Anything left
-   (non-integer coefficients, loop-variable Pow2 exponents, opaque
-   divisions) evaluates the interned term per call. *)
-let compile_expr env scope shapes e =
-  let subs =
-    List.filter_map
-      (fun v ->
-        if List.mem_assoc v scope then None
-        else
-          match Env.find_opt env v with
-          | Some c -> Some (v, Expr.int c)
-          | None ->
-              raise
-                (Unsupported (Printf.sprintf "parameter %s has no binding" v)))
-      (Expr.vars e)
-  in
-  let e = Expr.subst_env subs e in
-  let shape =
-    match Expr.to_int e with
-    | Some c -> Const c
-    | None -> (
-        let rec peel residual acc = function
-          | [] -> (
-              match Expr.to_int residual with
-              | Some c0 -> Some (Affine (c0, List.rev acc))
-              | None -> None)
-          | (v, slot) :: rest -> (
-              match Expr.linear_in v residual with
-              | Some (a, b) -> (
-                  match Expr.to_int a with
-                  | Some 0 -> peel b acc rest
-                  | Some c -> peel b ((slot, c) :: acc) rest
-                  | None -> None)
-              | None -> None)
-        in
-        match peel e [] scope with Some s -> s | None -> Opaque)
-  in
-  shapes := shape :: !shapes;
-  match shape with
-  | Const c -> fun (_ : int array) -> c
-  | Affine (c0, [ (s1, c1) ]) -> fun slots -> c0 + (c1 * slots.(s1))
-  | Affine (c0, [ (s1, c1); (s2, c2) ]) ->
-      fun slots -> c0 + (c1 * slots.(s1)) + (c2 * slots.(s2))
-  | Affine (c0, coeffs) ->
-      fun slots ->
-        List.fold_left (fun a (s, c) -> a + (c * slots.(s))) c0 coeffs
-  | Opaque ->
-      let tbl = Hashtbl.create (List.length scope) in
-      List.iter (fun (v, slot) -> Hashtbl.replace tbl v slot) scope;
-      fun slots ->
-        Expr.eval_int (fun v -> Qnum.of_int slots.(Hashtbl.find tbl v)) e
+(* The lowering defers a failure to the first evaluation that reaches
+   it; a sweep must not start at all when it cannot close over the
+   program, so the constructs it cannot handle are refused up front, in
+   lowering order. *)
+let check_expr env scope e =
+  List.iter
+    (fun v ->
+      if not (List.mem_assoc v scope || Env.mem env v) then
+        raise (Unsupported (Printf.sprintf "parameter %s has no binding" v)))
+    (Expr.vars e)
 
-(* Linearized address of one reference: the same recursion as
-   [Ir.Enumerate.iter]'s [flat] - the trailing extent never multiplies,
-   so it stays unevaluated (sentinel 0). *)
-let compile_addr env scope shapes (prog : Ir.Types.program)
-    (r : Ir.Types.array_ref) =
+let check_ref env scope (prog : Ir.Types.program) (r : Ir.Types.array_ref) =
   let decl =
     match Ir.Types.array_decl prog r.array with
     | d -> d
     | exception Not_found ->
         raise (Unsupported ("undeclared array " ^ r.array))
   in
-  let extent d =
-    try Env.eval env d
-    with _ ->
-      raise
-        (Unsupported (Printf.sprintf "extent of %s does not evaluate" r.array))
-  in
-  let dims =
-    match List.rev decl.dims with
-    | [] -> []
-    | _last :: rest_rev -> List.rev (0 :: List.map extent rest_rev)
-  in
-  let idx = List.map (compile_expr env scope shapes) r.index in
-  if List.length idx <> List.length dims then
-    raise (Unsupported ("rank mismatch on " ^ r.array));
-  let rec flat idx dims =
-    match (idx, dims) with
-    | [ i ], [ _ ] -> i
-    | i :: idx, d :: dims ->
-        let rest = flat idx dims in
-        fun slots -> i slots + (d * rest slots)
-    | [], [] -> fun _ -> 0
-    | _ -> assert false
-  in
-  flat idx dims
+  (match List.rev decl.dims with
+  | [] -> ()
+  | _last :: rest_rev ->
+      List.iter
+        (fun d ->
+          try ignore (Env.eval env d)
+          with _ ->
+            raise
+              (Unsupported
+                 (Printf.sprintf "extent of %s does not evaluate" r.array)))
+        rest_rev);
+  List.iter (check_expr env scope) r.index;
+  if List.length r.index <> List.length decl.dims then
+    raise (Unsupported ("rank mismatch on " ^ r.array))
 
 let rec has_parallel (s : Ir.Types.stmt) =
   match s with
@@ -128,13 +69,16 @@ let rec has_parallel (s : Ir.Types.stmt) =
    Ownership filtering happens at the parallel loop (a phase has at
    most one), and again defensively at each assignment for serial
    statements, which run on processor 0. *)
-let rec compile_stmt env scope ~chunk ~h shapes prog (s : Ir.Types.stmt) =
+let rec compile_stmt cx env scope ~chunk ~h shapes prog (s : Ir.Types.stmt) =
   match s with
   | Ir.Types.Assign a ->
       let compiled =
         List.mapi
           (fun site (r : Ir.Types.array_ref) ->
-            (site, r.access, r.array, compile_addr env scope shapes prog r))
+            check_ref env scope prog r;
+            let sh, addr = Ir.Lower.addr cx scope r in
+            shapes := List.rev_append sh !shapes;
+            (site, r.access, r.array, addr))
           a.refs
       in
       let creads =
@@ -175,12 +119,18 @@ let rec compile_stmt env scope ~chunk ~h shapes prog (s : Ir.Types.stmt) =
             cwrites
         end
   | Ir.Types.Loop l ->
-      let lo = compile_expr env scope shapes l.lo in
-      let hi = compile_expr env scope shapes l.hi in
+      let bound e =
+        check_expr env scope e;
+        let sh, f = Ir.Lower.expr env scope e in
+        shapes := sh :: !shapes;
+        f
+      in
+      let lo = bound l.lo in
+      let hi = bound l.hi in
       let slot = List.length scope in
       let scope' = (l.var, slot) :: scope in
       let body =
-        List.map (compile_stmt env scope' ~chunk ~h shapes prog) l.body
+        List.map (compile_stmt cx env scope' ~chunk ~h shapes prog) l.body
       in
       let parallel = l.parallel in
       let deeper = List.exists has_parallel l.body in
@@ -215,12 +165,6 @@ let rec compile_stmt env scope ~chunk ~h shapes prog (s : Ir.Types.stmt) =
           end
         done
 
-let rec loop_depth (s : Ir.Types.stmt) =
-  match s with
-  | Ir.Types.Assign _ -> 0
-  | Ir.Types.Loop l ->
-      1 + List.fold_left (fun a b -> max a (loop_depth b)) 0 l.body
-
 let phase (prog : Ir.Types.program) (env : Env.t) (plan : Distribution.plan) k
     (ph : Ir.Types.phase) : t =
   let ph = Ir.Normalize.phase ph in
@@ -228,12 +172,13 @@ let phase (prog : Ir.Types.program) (env : Env.t) (plan : Distribution.plan) k
   let h = plan.h in
   let shapes = ref [] in
   let nest = Ir.Types.Loop ph.nest in
-  let body = compile_stmt env [] ~chunk ~h shapes prog nest in
+  let cx = Ir.Lower.context prog env in
+  let body = compile_stmt cx env [] ~chunk ~h shapes prog nest in
   let parallel = has_parallel nest in
   {
     phase_name = ph.phase_name;
     parallel;
-    nslots = loop_depth nest;
+    nslots = Ir.Lower.depth nest;
     shapes = List.rev !shapes;
     sweep =
       (fun ~slots ~me hd ->

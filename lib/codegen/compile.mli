@@ -4,12 +4,13 @@
     it as closures the real executor (library [exec]) can run: each
     phase of a normalized program becomes a [sweep] function that walks
     the loop nest natively, dispatching every array reference through a
-    {!handlers} record supplied by the machine.  The sweep reproduces
-    [Ir.Enumerate.iter]'s semantics exactly - same normalization, same
-    linearized addressing (the trailing extent never multiplies), same
-    CYCLIC(p_k) owner-computes schedule via {!proc_of_iteration} - so a
-    parallel execution and a sequential replay of the same closures are
-    comparable address by address. *)
+    {!handlers} record supplied by the machine.  Subscripts, bounds and
+    addresses come from [Ir.Lower], the lowering [Ir.Enumerate.iter]
+    walks too, so the sweep has the enumerator's semantics exactly -
+    same normalization, same linearized addressing (the trailing extent
+    never multiplies) - under the CYCLIC(p_k) owner-computes schedule of
+    {!proc_of_iteration}: a parallel execution and a sequential replay
+    of the same closures are comparable address by address. *)
 
 open Symbolic
 open Ilp
@@ -21,7 +22,10 @@ exception Unsupported of string
 (** Compiled shape of one expression (exposed for tests): constant,
     affine in the loop slots [c0 + sum c_i * slot_i], or an opaque
     fallback that interprets the interned term per evaluation. *)
-type shape = Const of int | Affine of int * (int * int) list | Opaque
+type shape = Ir.Lower.shape =
+  | Const of int
+  | Affine of int * (int * int) list
+  | Opaque
 
 type handlers = {
   read : par:int option -> array:string -> addr:int -> float;

@@ -28,8 +28,12 @@ let describe = function
   | Qnum.Division_by_zero | Division_by_zero -> "division by zero"
   | Env.Unbound v -> "unbound parameter " ^ v
   | Expr.Non_integral s -> "non-integral expression: " ^ s
-  | Lattice.Outside_fragment s ->
-      "outside the closed-form fragment under --symbolic-only: " ^ s
+  | Lattice.Outside_fragment s -> (
+      match !Lattice.mode with
+      | Lattice.Symbolic_only ->
+          "outside the closed-form fragment under --symbolic-only: " ^ s
+      | Lattice.Auto | Lattice.Enumerated_only ->
+          "outside the closed-form fragment: " ^ s)
   | e -> Printexc.to_string e
 
 (* Total front door for surface text: any parse failure lands in the

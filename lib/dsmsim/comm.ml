@@ -104,12 +104,12 @@ let aggregate_ranges (ranges : (int * int * (int * int)) list) : message list =
    performed inside the epoch before any exposed read - checked
    conservatively as "the epoch's first accessing phase writes a
    superset of everything the epoch touches". *)
-let write_covers_epoch_enum (lcg : Lcg.t) (l : Distribution.layout) =
+let write_covers_epoch_enum ?budget (lcg : Lcg.t) (l : Distribution.layout) =
     let phases_of r = List.filteri (fun k _ -> r k) lcg.prog.phases in
     let head = List.nth lcg.prog.phases l.first_phase in
     let written = Hashtbl.create 256 in
     let all = Hashtbl.create 256 in
-    Ir.Enumerate.iter lcg.prog lcg.env head
+    Ir.Enumerate.iter ?budget lcg.prog lcg.env head
       ~f:(fun ~par:_ ~array ~addr access ~work:_ ->
         if String.equal array l.array then begin
           Hashtbl.replace all addr ();
@@ -125,7 +125,7 @@ let write_covers_epoch_enum (lcg : Lcg.t) (l : Distribution.layout) =
     && List.for_all
          (fun ph ->
            let covered = ref true in
-           Ir.Enumerate.iter lcg.prog lcg.env ph
+           Ir.Enumerate.iter ?budget lcg.prog lcg.env ph
              ~f:(fun ~par:_ ~array ~addr _ ~work:_ ->
                if String.equal array l.array && not (Hashtbl.mem written addr)
                then covered := false);
@@ -218,7 +218,9 @@ let write_covers_epoch (lcg : Lcg.t) (l : Distribution.layout) =
       | Some b -> b
       | None ->
           Lattice.note_fallback ~stage:"comm" (l.array ^ " write-covers");
-          write_covers_epoch_enum lcg l)
+          write_covers_epoch_enum
+            ~budget:(Ir.Enumerate.budget ~stage:"comm" ~array:l.array)
+            lcg l)
 
 (* The frontier strips of a halo'd layout: each block owner's edge
    cells, addressed to the neighbouring blocks' owners.  Emitted as
@@ -306,9 +308,9 @@ let redistribution_messages plan prev next size =
           redistribution_messages_enum plan prev next size)
 
 (* Arrays a phase writes (with at least one event). *)
-let phase_writes_enum (lcg : Lcg.t) ph =
+let phase_writes_enum ?budget (lcg : Lcg.t) ph =
   let written = Hashtbl.create 4 in
-  Ir.Enumerate.iter lcg.prog lcg.env ph
+  Ir.Enumerate.iter ?budget lcg.prog lcg.env ph
     ~f:(fun ~par:_ ~array ~addr:_ access ~work:_ ->
       match access with
       | Ir.Types.Write -> Hashtbl.replace written array ()
@@ -331,7 +333,10 @@ let phase_writes (lcg : Lcg.t) ph =
       | None ->
           Lattice.note_fallback ~stage:"comm"
             ("phase " ^ ph.Ir.Types.phase_name ^ " writes");
-          phase_writes_enum lcg ph)
+          phase_writes_enum
+            ~budget:
+              (Ir.Enumerate.budget ~stage:"comm" ~array:"every array")
+            lcg ph)
 
 let generate ?on_error (lcg : Lcg.t) (plan : Distribution.plan) : schedule =
   let array_size lcg a = array_size ?on_error lcg a in

@@ -82,8 +82,8 @@ type summary = {
   s_written : string list;  (** arrays the phase writes *)
 }
 
-let summarize_enum (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
-    ~size_of k ph =
+let summarize_enum ?budget (lcg : Lcg.t) (plan : Distribution.plan)
+    (m : Cost.machine) ~size_of k ph =
   let h = plan.h in
   let chunk = plan.chunk.(k) in
   let clock = Array.make h 0.0 in
@@ -91,7 +91,7 @@ let summarize_enum (lcg : Lcg.t) (plan : Distribution.plan) (m : Cost.machine)
   let local = ref 0 and remote = ref 0 and compute = ref 0 in
   let seq = ref 0.0 in
   let written = Hashtbl.create 4 in
-  Ir.Enumerate.iter lcg.prog lcg.env ph
+  Ir.Enumerate.iter ?budget lcg.prog lcg.env ph
     ~f:(fun ~par ~array ~addr access ~work ->
       let proc =
         match par with
@@ -302,7 +302,9 @@ let summarize lcg plan m ~size_of k ph =
       | None ->
           L.note_fallback ~stage:"exec"
             ("phase " ^ ph.Ir.Types.phase_name ^ " accounting");
-          summarize_enum lcg plan m ~size_of k ph)
+          summarize_enum
+            ~budget:(Ir.Enumerate.budget ~stage:"exec" ~array:"every array")
+            lcg plan m ~size_of k ph)
 
 let exec_timer = Symbolic.Metrics.timer "dsmsim.exec"
 let msg_count = Symbolic.Metrics.counter "exec.messages"

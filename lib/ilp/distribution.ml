@@ -57,11 +57,13 @@ let own_of ~h (l : layout) : Lattice.Own.t =
 
 (* Remote accesses layout [l] induces for its array in phase
    [phase_idx], given the plan's CYCLIC(p) schedules. *)
-let remote_count_enum (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
+let remote_count_enum ?budget (lcg : Lcg.t) (plan : plan) (l : layout)
+    ~phase_idx =
   let ph = List.nth lcg.prog.phases phase_idx in
   let chunk = plan.chunk.(phase_idx) in
   let remote = ref 0 in
-  Ir.Enumerate.iter lcg.prog lcg.env ph ~f:(fun ~par ~array ~addr _ ~work:_ ->
+  Ir.Enumerate.iter ?budget lcg.prog lcg.env ph
+    ~f:(fun ~par ~array ~addr _ ~work:_ ->
       if String.equal array l.array then begin
         let proc =
           match par with
@@ -123,13 +125,15 @@ let remote_count (lcg : Lcg.t) (plan : plan) (l : layout) ~phase_idx =
       | None ->
           Lattice.note_fallback ~stage:"distribution"
             (l.array ^ " remote count");
-          remote_count_enum lcg plan l ~phase_idx)
+          remote_count_enum
+            ~budget:(Ir.Enumerate.budget ~stage:"distribution" ~array:l.array)
+            lcg plan l ~phase_idx)
 
 (* Does any phase of the layout's epoch write the array? *)
-let epoch_written_enum (lcg : Lcg.t) (l : layout) =
+let epoch_written_enum ?budget (lcg : Lcg.t) (l : layout) =
   let found = ref false in
   for k = l.first_phase to l.last_phase do
-    Ir.Enumerate.iter lcg.prog lcg.env (List.nth lcg.prog.phases k)
+    Ir.Enumerate.iter ?budget lcg.prog lcg.env (List.nth lcg.prog.phases k)
       ~f:(fun ~par:_ ~array ~addr:_ access ~work:_ ->
         if
           String.equal array l.array
@@ -171,19 +175,21 @@ let epoch_written (lcg : Lcg.t) (l : layout) =
       | None ->
           Lattice.note_fallback ~stage:"distribution"
             (l.array ^ " epoch writes");
-          epoch_written_enum lcg l)
+          epoch_written_enum
+            ~budget:(Ir.Enumerate.budget ~stage:"distribution" ~array:l.array)
+            lcg l)
 
 (* Ghost-zone payoff of a candidate layout: remote reads the halo would
    serve locally, and how many of the epoch's phases write the array
    (each such phase ships frontier updates). *)
-let halo_savings_enum (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
+let halo_savings_enum ?budget (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
   let h = plan0.h in
   let saved = ref 0 and writing_phases = ref 0 in
   for k = l.first_phase to l.last_phase do
     let ph = List.nth lcg.prog.phases k in
     let chunk = max 1 p.(k) in
     let wrote = ref false in
-    Ir.Enumerate.iter lcg.prog lcg.env ph
+    Ir.Enumerate.iter ?budget lcg.prog lcg.env ph
       ~f:(fun ~par ~array ~addr access ~work:_ ->
         if String.equal array l.array then begin
           let proc = match par with Some i -> i / chunk mod h | None -> 0 in
@@ -279,7 +285,9 @@ let halo_savings (lcg : Lcg.t) (plan0 : plan) ~p (l : layout) =
       | None ->
           Lattice.note_fallback ~stage:"distribution"
             (l.array ^ " halo payoff");
-          halo_savings_enum lcg plan0 ~p l)
+          halo_savings_enum
+            ~budget:(Ir.Enumerate.budget ~stage:"distribution" ~array:l.array)
+            lcg plan0 ~p l)
 
 let of_solution (lcg : Lcg.t) ~p : plan =
   let h = lcg.h in

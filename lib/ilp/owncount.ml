@@ -19,6 +19,7 @@ let offsets dims =
     [ 0 ] dims
 
 let per_proc ~h ~chunk ~par ~par_n ~base ~seq ~sets =
+  let sets = Array.map Array.of_list sets in
   let events = Array.make h 0 and hits = Array.make h 0 in
   let empty =
     List.exists (fun (c, _) -> c <= 0) seq

@@ -5,63 +5,69 @@ open Types
    the "did we enumerate at all?" probe the symbolic-coverage checks
    assert on (zero on the closed-form hot path). *)
 let iter_count = Metrics.counter "enum.iter"
+let exhausted_count = Metrics.counter "enum.budget_exhausted"
+let fallback_events = 1 lsl 22
 
-let iter (prog : program) (env : Env.t) (ph : phase) ~f =
+type budget = { stage : string; array : string; mutable left : int }
+
+let budget ~stage ~array = { stage; array; left = fallback_events }
+
+let iter ?budget (prog : program) (env : Env.t) (ph : phase) ~f =
   Metrics.incr iter_count;
   let ph = Normalize.phase ph in
-  let dims_of = Hashtbl.create 8 in
-  let eval_dims env name =
-    match Hashtbl.find_opt dims_of name with
-    | Some d -> d
-    | None ->
-        let decl = array_decl prog name in
-        (* [flat] never multiplies by the final extent, so leave it
-           unevaluated: an array whose trailing (size-only) dimension
-           does not evaluate can still have its accesses enumerated
-           (the schedule generator skips such arrays' events via
-           [Comm.array_size], but the other references in the same
-           statement must not be lost with them). *)
-        let d =
-          match List.rev decl.dims with
-          | [] -> []
-          | _last :: rest_rev ->
-              List.rev (0 :: List.map (Env.eval env) rest_rev)
-        in
-        Hashtbl.add dims_of name d;
-        d
+  (* one step per loop iteration and per access event *)
+  let tick =
+    match budget with
+    | None -> fun () -> ()
+    | Some b ->
+        fun () ->
+          b.left <- b.left - 1;
+          if b.left < 0 then begin
+            Metrics.incr exhausted_count;
+            raise
+              (Lattice.Outside_fragment
+                 (Printf.sprintf
+                    "%s: enumeration fallback for %s exceeded its budget of \
+                     %d events in phase %s"
+                    b.stage b.array fallback_events ph.phase_name))
+          end
   in
-  let flat dims idx =
-    let rec go idx dims =
-      match (idx, dims) with
-      | [ i ], [ _ ] -> i
-      | i :: idx, d :: dims -> i + (d * go idx dims)
-      | [], [] -> 0
-      | _ -> invalid_arg "rank mismatch"
-    in
-    go idx dims
-  in
-  (* The loop below rebinds [env] once per iteration; those bindings
-     die with the iteration, so they must not insert into the global
-     evaluation store (DESIGN.md section 14). *)
-  let env = Env.ephemeral env in
-  let rec walk env par = function
+  let cx = Lower.context prog env in
+  let rec stmt scope = function
     | Assign a ->
-        List.iteri
-          (fun k (r : array_ref) ->
-            let dims = eval_dims env r.array in
-            let idx = List.map (Env.eval env) r.index in
-            f ~par ~array:r.array ~addr:(flat dims idx) r.access
-              ~work:(if k = 0 then a.work else 0))
-          a.refs
+        let refs =
+          List.mapi
+            (fun k (r : array_ref) ->
+              ( r.array,
+                r.access,
+                snd (Lower.addr cx scope r),
+                if k = 0 then a.work else 0 ))
+            a.refs
+        in
+        fun slots par ->
+          List.iter
+            (fun (array, access, addr, work) ->
+              tick ();
+              f ~par ~array ~addr:(addr slots) access ~work)
+            refs
     | Loop l ->
-        let lo = Env.eval env l.lo and hi = Env.eval env l.hi in
-        for v = lo to hi do
-          let env = Env.add l.var v env in
-          let par = if l.parallel then Some v else par in
-          List.iter (walk env par) l.body
-        done
+        let lo = snd (Lower.expr env scope l.lo)
+        and hi = snd (Lower.expr env scope l.hi) in
+        let slot = List.length scope in
+        let body = List.map (stmt ((l.var, slot) :: scope)) l.body in
+        let parallel = l.parallel in
+        fun slots par ->
+          let lo = lo slots in
+          let hi = hi slots in
+          for v = lo to hi do
+            tick ();
+            slots.(slot) <- v;
+            let par = if parallel then Some v else par in
+            List.iter (fun s -> s slots par) body
+          done
   in
-  walk env None (Loop ph.nest)
+  let nest = Loop ph.nest in
+  (stmt [] nest) (Array.make (Lower.depth nest) 0) None
 
 let addresses prog env ph ~array =
   let acc = ref [] in

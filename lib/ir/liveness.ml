@@ -22,13 +22,13 @@ let static_attr _prog ph ~array =
   | false, true -> W
   | false, false -> R
 
-let def_before_use_enum prog env ph ~array =
+let def_before_use_enum ?budget prog env ph ~array =
   (* Per parallel iteration, every read must hit a location already
      written by the same iteration. *)
   let written = Hashtbl.create 64 in
   let current = ref None in
   let ok = ref true in
-  Enumerate.iter prog env ph ~f:(fun ~par ~array:a ~addr access ~work:_ ->
+  Enumerate.iter ?budget prog env ph ~f:(fun ~par ~array:a ~addr access ~work:_ ->
       if String.equal a array then begin
         if par <> !current then begin
           Hashtbl.reset written;
@@ -109,13 +109,13 @@ let def_before_use_symbolic prog env ph ~array =
             if List.for_all covered mine then Some true else None
       with Lattice.Overflow -> None)
 
-let dead_after_enum prog env k ~array =
+let dead_after_enum ?budget prog env k ~array =
   (* Forward scan over the phases executed after phase k (wrapping once
      when the program repeats): a location written by k is live if some
      later phase reads it before overwriting it. *)
   let exposed = Hashtbl.create 64 in
   (* start: all addresses phase k writes *)
-  Enumerate.iter prog env (List.nth prog.phases k) ~f:(fun ~par:_ ~array:a ~addr access ~work:_ ->
+  Enumerate.iter ?budget prog env (List.nth prog.phases k) ~f:(fun ~par:_ ~array:a ~addr access ~work:_ ->
       if String.equal a array && equal_access access Write then
         Hashtbl.replace exposed addr ());
   let n = List.length prog.phases in
@@ -131,7 +131,7 @@ let dead_after_enum prog env k ~array =
     (fun g ->
       if (not !live) && Hashtbl.length exposed > 0 then begin
         let killed = Hashtbl.create 64 in
-        Enumerate.iter prog env (List.nth prog.phases g)
+        Enumerate.iter ?budget prog env (List.nth prog.phases g)
           ~f:(fun ~par:_ ~array:a ~addr access ~work:_ ->
             if String.equal a array then
               match access with
@@ -242,7 +242,9 @@ let def_before_use prog env ph ~array =
       | None ->
           Lattice.note_fallback ~stage:"liveness"
             (array ^ " def-before-use in " ^ ph.phase_name);
-          def_before_use_enum prog env ph ~array)
+          def_before_use_enum
+            ~budget:(Enumerate.budget ~stage:"liveness" ~array)
+            prog env ph ~array)
 
 let dead_after prog env k ~array =
   match !Lattice.mode with
@@ -252,7 +254,9 @@ let dead_after prog env k ~array =
       | Some b -> b
       | None ->
           Lattice.note_fallback ~stage:"liveness" (array ^ " dead-after");
-          dead_after_enum prog env k ~array)
+          dead_after_enum
+            ~budget:(Enumerate.budget ~stage:"liveness" ~array)
+            prog env k ~array)
 
 let default_envs prog =
   (* Small, deterministic parameter samples. *)

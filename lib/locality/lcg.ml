@@ -32,9 +32,9 @@ type t = { prog : Types.program; env : Env.t; h : int; graphs : graph list }
    from the phase's event shapes, enumerated only as the oracle (or as
    the counted fallback when the phase is outside the fragment). *)
 let phase_work prog env ph =
-  let enum () =
+  let enum ?budget () =
     let total = ref 0 in
-    Enumerate.iter prog env ph ~f:(fun ~par:_ ~array:_ ~addr:_ _ ~work ->
+    Enumerate.iter ?budget prog env ph ~f:(fun ~par:_ ~array:_ ~addr:_ _ ~work ->
         total := !total + work);
     !total
   in
@@ -46,7 +46,10 @@ let phase_work prog env ph =
       | None ->
           Lattice.note_fallback ~stage:"lcg-work"
             ("phase " ^ ph.Types.phase_name ^ " outside affine fragment");
-          enum ())
+          enum
+            ~budget:
+              (Enumerate.budget ~stage:"lcg-work" ~array:"every array")
+            ())
 
 let build_timer = Metrics.timer "lcg.build"
 let classify_timer = Metrics.timer "lcg.classify"

@@ -445,31 +445,38 @@ let linear_in v (e : t) =
   in
   go [] [] e.node
 
-let eval lookup (e : t) =
-  let rec eval_n (e : node) =
-    List.fold_left
-      (fun acc (m, c) ->
-        Qnum.add acc
-          (List.fold_left (fun acc (a, k) -> Qnum.mul acc (atom_val a k)) c m))
-      Qnum.zero e
-  and atom_val a k =
-    let base =
-      match a with
-      | Var v -> lookup v
-      | Pow2 e ->
-          let x = eval_n e.node in
-          if not (Qnum.is_integer x) then raise (Non_integral "Pow2 exponent");
-          Qnum.pow2 (Qnum.to_int x)
-      | Floor_div (x, y) ->
-          Qnum.of_int (Qnum.floor (Qnum.div (eval_n x.node) (eval_n y.node)))
-      | Ceil_div (x, y) ->
-          Qnum.of_int (Qnum.ceil (Qnum.div (eval_n x.node) (eval_n y.node)))
-      | Opaque_div (x, y) -> Qnum.div (eval_n x.node) (eval_n y.node)
-    in
-    let rec pow acc n = if n = 0 then acc else pow (Qnum.mul acc base) (n - 1) in
-    if k >= 0 then pow Qnum.one k else Qnum.inv (pow Qnum.one (-k))
-  in
-  eval_n e.node
+let rec eval_node lookup (e : node) =
+  List.fold_left
+    (fun acc (m, c) ->
+      Qnum.add acc
+        (List.fold_left
+           (fun acc (a, k) ->
+             let base = atom_value lookup a in
+             let rec pow acc n =
+               if n = 0 then acc else pow (Qnum.mul acc base) (n - 1)
+             in
+             Qnum.mul acc
+               (if k >= 0 then pow Qnum.one k else Qnum.inv (pow Qnum.one (-k))))
+           c m))
+    Qnum.zero e
+
+and atom_value lookup = function
+  | Var v -> lookup v
+  | Pow2 e ->
+      let x = eval_node lookup e.node in
+      if not (Qnum.is_integer x) then raise (Non_integral "Pow2 exponent");
+      Qnum.pow2 (Qnum.to_int x)
+  | Floor_div (x, y) ->
+      Qnum.of_int
+        (Qnum.floor (Qnum.div (eval_node lookup x.node) (eval_node lookup y.node)))
+  | Ceil_div (x, y) ->
+      Qnum.of_int
+        (Qnum.ceil (Qnum.div (eval_node lookup x.node) (eval_node lookup y.node)))
+  | Opaque_div (x, y) ->
+      Qnum.div (eval_node lookup x.node) (eval_node lookup y.node)
+
+let eval lookup (e : t) = eval_node lookup e.node
+let terms (e : t) = e.node
 
 let eval_int lookup e =
   let v = eval lookup e in

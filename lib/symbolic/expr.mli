@@ -107,6 +107,27 @@ val linear_in : string -> t -> (t * t) option
 (** [linear_in v e = Some (a, b)] when [e = a*v + b] with [v] occurring
     nowhere in [a] or [b]; [None] if [e] is non-linear in [v]. *)
 
+(** {1 Structure}
+
+    Read-only view of the canonical form, for lowerings that must
+    reproduce {!eval} operation for operation ([Ir.Lower]). *)
+
+type atom =
+  | Var of string
+  | Pow2 of t  (** [2^e] *)
+  | Floor_div of t * t
+  | Ceil_div of t * t
+  | Opaque_div of t * t  (** exact division kept unreduced *)
+
+val terms : t -> ((atom * int) list * Qnum.t) list
+(** The monomials [(factors, coefficient)] in the order {!eval} folds
+    them: [eval] starts from zero and adds, per monomial, the
+    coefficient multiplied left to right by each [atom^k] (itself
+    [1 * a * ... * a], or its inverse when [k < 0]). *)
+
+val atom_value : (string -> Qnum.t) -> atom -> Qnum.t
+(** The value {!eval} gives one atom (before exponentiation). *)
+
 (** {1 Transformation} *)
 
 val subst : string -> t -> t -> t

@@ -519,8 +519,18 @@ let range_sum ~c ~first ~step =
     let e = if c land 1 = 0 then c / 2 * (c - 1) else c * ((c - 1) / 2) in
     Safe.add_sat (Safe.mul_sat c first) (Safe.mul_sat step e)
 
-let window_hits_1 ~a ~d ~n ~len (blo, bhi) =
+(* Hull of every window, computed saturating (which only widens it):
+   an interval outside it meets no window. *)
+let window_hull ~a ~d ~n ~len =
+  let last = Safe.add_sat a (Safe.mul_sat (n - 1) d) in
+  (min a last, Safe.add_sat (max a last) (len - 1))
+
+let window_hits_interval ~a ~d ~n ~len (blo, bhi) =
   if n <= 0 || len <= 0 || blo > bhi then 0
+  else if
+    let lo, hi = window_hull ~a ~d ~n ~len in
+    bhi < lo || blo > hi
+  then 0
   else if d = 0 then
     let l = max a blo and h = min (a + len - 1) bhi in
     if l > h then 0 else Safe.mul_sat n (h - l + 1)
@@ -557,10 +567,26 @@ let window_hits_1 ~a ~d ~n ~len (blo, bhi) =
       Safe.add_sat asc (Safe.add_sat desc plateau)
     end
 
-let window_hits ~a ~d ~n ~len set =
-  List.fold_left
-    (fun acc iv -> Safe.add_sat acc (window_hits_1 ~a ~d ~n ~len iv))
-    0 set
+(* Only intervals meeting the windows' hull can contribute, so a binary
+   search finds the first one and the scan stops past the hull. *)
+let window_hits ~a ~d ~n ~len (set : (int * int) array) =
+  if n <= 0 || len <= 0 then 0
+  else begin
+    let lo, hi = window_hull ~a ~d ~n ~len in
+    (* first interval whose upper end reaches [lo] *)
+    let rec search l r =
+      if l >= r then l
+      else
+        let m = l + ((r - l) / 2) in
+        if snd set.(m) < lo then search (m + 1) r else search l m
+    in
+    let acc = ref 0 and i = ref (search 0 (Array.length set)) in
+    while !i < Array.length set && fst set.(!i) <= hi do
+      acc := Safe.add_sat !acc (window_hits_interval ~a ~d ~n ~len set.(!i));
+      incr i
+    done;
+    !acc
+  end
 
 (* {1 Mode} *)
 

@@ -185,15 +185,25 @@ module Own : sig
       [lo..hi]; [None] on budget exhaustion. *)
 end
 
-val window_hits : a:int -> d:int -> n:int -> len:int -> Iv.t -> int
+val window_hits_interval :
+  a:int -> d:int -> n:int -> len:int -> int * int -> int
+(** {!window_hits} against the single interval [(lo, hi)]: the closed
+    form, in O(1); [0] for an interval outside the windows' hull.
+    Exact while the window starts [a + i*d] are representable. *)
+
+val window_hits :
+  a:int -> d:int -> n:int -> len:int -> (int * int) array -> int
 (** [window_hits ~a ~d ~n ~len set]: the number of (index, address)
     pairs [(i, x)] with [0 <= i < n], [x] in [[a+i*d, a+i*d+len-1]] and
     [x] in [set] - i.e. the total events an arithmetic progression of
     contiguous windows lands inside the set, counted with multiplicity
-    across indices.  Closed form per interval of [set] (arithmetic-
-    series sums over the ascending / plateau / descending overlap
-    regions); cost O(|set|), independent of [n] and [len].  Saturating:
-    clamps at [max_int] instead of raising. *)
+    across indices.  [set] is an interval list in normal form ({!Iv}),
+    as an array.  Closed form per interval (arithmetic-series sums over
+    the ascending / plateau / descending overlap regions), summed over
+    the intervals that meet the windows' hull only, found by binary
+    search: cost O(log |set| + k) for k such intervals, independent of
+    [n] and [len].  Saturating: clamps at [max_int] instead of
+    raising. *)
 
 (** {1 Mode and fallback accounting} *)
 

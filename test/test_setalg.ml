@@ -264,7 +264,67 @@ let window_hits_exact =
           if Lattice.Iv.mem set x then incr brute
         done
       done;
-      Lattice.window_hits ~a ~d ~n ~len set = !brute)
+      Lattice.window_hits ~a ~d ~n ~len (Array.of_list set) = !brute)
+
+(* The indexed count against the linear per-interval sum, across every
+   scale up to the saturation limit: sets placed near 0, near +-2^61
+   and against max_int / min_int, progressions with zero, negative and
+   huge strides, and empty counts and windows. *)
+let window_hits_indexed =
+  let open QCheck.Gen in
+  let sat = Lattice.Safe.add_sat in
+  let scale =
+    oneof
+      [
+        int_range 0 40;
+        int_range 0 (1 lsl 20);
+        int_range 0 (1 lsl 45);
+        int_range 0 (1 lsl 61);
+      ]
+  in
+  let signed = map2 (fun neg x -> if neg then -x else x) bool scale in
+  let origin =
+    oneofl
+      [ 0; -1000; 1 lsl 61; -(1 lsl 61); max_int - (1 lsl 20); min_int + 5 ]
+  in
+  let gen_set =
+    let* o = origin in
+    let* k = int_range 0 8 in
+    let* steps = list_repeat k (pair scale scale) in
+    let _, ivs =
+      List.fold_left
+        (fun (x, acc) (gap, w) ->
+          let l = sat x gap in
+          let h = sat l w in
+          (sat h 2, (l, h) :: acc))
+        (o, []) steps
+    in
+    return (o, Lattice.Iv.norm ivs)
+  in
+  let gen =
+    let* o, set = gen_set in
+    let* a = map (sat o) signed in
+    let* d = oneof [ return 0; int_range (-9) 9; signed ] in
+    let* n = oneof [ return 0; int_range 1 12; scale ] in
+    let* len = oneof [ return 0; int_range 1 12; scale ] in
+    return (a, d, n, len, set)
+  in
+  prop "window_hits indexed = linear per-interval sum"
+    (QCheck.make
+       ~print:(fun (a, d, n, len, set) ->
+         Printf.sprintf "a=%d d=%d n=%d len=%d set=[%s]" a d n len
+           (String.concat "; "
+              (List.map (fun (l, h) -> Printf.sprintf "%d..%d" l h) set)))
+       gen)
+    (fun (a, d, n, len, set) ->
+      let linear =
+        List.fold_left
+          (fun acc iv ->
+            Lattice.Safe.add_sat acc
+              (Lattice.window_hits_interval ~a ~d ~n ~len iv))
+          0 set
+      in
+      Lattice.window_hits ~a ~d ~n ~len (Array.of_list set) = linear)
 
 (* ------------------------------------------------------------------ *)
 (* Shape extraction vs the enumeration oracle: the symbolic event
@@ -388,7 +448,7 @@ let saturating_window () =
   (* n * len beyond max_int: the closed form must clamp, not wrap. *)
   let n = 1 lsl 31 and len = 1 lsl 32 in
   let hits =
-    Lattice.window_hits ~a:0 ~d:0 ~n ~len [ (0, max_int - 1) ]
+    Lattice.window_hits ~a:0 ~d:0 ~n ~len [| (0, max_int - 1) |]
   in
   Alcotest.(check bool) "saturates at max_int" true (hits = max_int)
 
@@ -405,7 +465,7 @@ let () =
           iv_ops;
         ] );
       ("ownership", [ own_vs_distribution; own_segments ]);
-      ("windows", [ window_hits_exact ]);
+      ("windows", [ window_hits_exact; window_hits_indexed ]);
       ( "shape",
         [
           Alcotest.test_case "events = oracle on registry" `Quick
